@@ -12,7 +12,7 @@ GO ?= go
 # seed corpus.
 FUZZTIME ?= 30s
 
-.PHONY: all build vet test race lint fuzz-smoke stream-diff serve-smoke hazard-smoke fmt-check bench bench-smoke bench-stream instr-smoke docs-check guide ci
+.PHONY: all build vet test race lint fuzz-smoke stream-diff serve-smoke hazard-smoke fmt-check clrt-arch bench bench-smoke bench-clrt bench-stream instr-smoke docs-check guide ci
 
 all: ci
 
@@ -77,10 +77,28 @@ hazard-smoke:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# One iteration of the headline benchmarks — catches crashes and gross
-# regressions without tying up CI.
+# clrt reads goroutine ids through an assembly getg stub on amd64 and
+# arm64 and falls back to parsing runtime.Stack elsewhere: build the
+# fallback on a stub-less GOARCH and vet the arm64 stub against its Go
+# declaration, whatever the host architecture.
+clrt-arch:
+	GOARCH=386 $(GO) build ./clrt
+	GOARCH=arm64 $(GO) vet ./clrt
+
+# One iteration of the headline benchmarks and of the clrt per-op
+# benchmarks — catches crashes and gross regressions without tying up
+# CI.
 bench-smoke:
 	$(GO) test -run=xxx -bench='BenchmarkAnalyzeLargeTrace|BenchmarkAnalyzeStream2M' -benchtime=1x -benchmem .
+	$(GO) test -run=xxx -bench=. -benchtime=1x -benchmem ./clrt
+
+# Per-operation cost of traced Lock+Unlock, RLock+RUnlock, chan
+# send+recv, WaitGroup Add/Done/Wait, traced spawn+join and the two
+# goroutine-id paths. A fixed iteration count keeps runs comparable;
+# the benchmarks restart their recording every 1024 ops, so memory
+# stays flat.
+bench-clrt:
+	$(GO) test -run=xxx -bench=. -benchtime=200000x -count=5 -benchmem ./clrt
 
 # Re-record the streaming-throughput benchmark: runs
 # BenchmarkAnalyzeStream2M (stream + in-memory) COUNT times and emits
@@ -113,4 +131,4 @@ bench:
 	$(GO) test -run=xxx -bench='BenchmarkAnalyzeLargeTrace|BenchmarkAnalyzeReuse|BenchmarkMergeVsSort|BenchmarkRunAllParallel' -benchtime=30x -benchmem .
 	$(GO) test -run=xxx -bench=BenchmarkAnalyzeStream2M -benchtime=2x -benchmem .
 
-ci: lint fmt-check build race stream-diff serve-smoke hazard-smoke fuzz-smoke bench-smoke instr-smoke docs-check
+ci: lint fmt-check clrt-arch build race stream-diff serve-smoke hazard-smoke fuzz-smoke bench-smoke instr-smoke docs-check

@@ -19,7 +19,10 @@
 // strategy. The current thread's execution context is resolved through
 // a goroutine-id registry (the GoChan tracer technique): clrt.Go
 // registers the child goroutine before its body runs, and every
-// primitive looks the calling goroutine up on entry.
+// primitive looks the calling goroutine up on entry (goid.go covers
+// how the id is read cheaply). Each recording states how it was made
+// in its metadata: "clrt.goid" names the id path ("fast" or "stack")
+// and "clrt.adopted" counts the adopted foreign goroutines.
 //
 // Output is controlled by environment variables, read when the
 // instrumented main returns (or clrt.Exit runs):
@@ -55,6 +58,7 @@ var st struct {
 	rootID    int64
 	rootTaken bool
 	finished  bool
+	adopted   int // foreign goroutines adopted so far
 }
 
 // procs maps goroutine id -> harness.Proc for every goroutine spawned
@@ -65,25 +69,6 @@ var procs sync.Map
 
 var foreignWarn sync.Once
 
-// goid parses the calling goroutine's id out of its stack header
-// ("goroutine N [running]:"). There is no supported API for this; the
-// parse is the standard trick and costs about a microsecond, which is
-// acceptable next to the mutex and channel work being traced.
-func goid() int64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = "goroutine "
-	s := buf[len(prefix):n]
-	var id int64
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + int64(c-'0')
-	}
-	return id
-}
-
 // ensureRuntimeLocked creates the process-wide live runtime on first
 // touch. Callers hold st.mu.
 func ensureRuntimeLocked() *livetrace.Runtime {
@@ -91,6 +76,8 @@ func ensureRuntimeLocked() *livetrace.Runtime {
 		seed, _ := strconv.ParseInt(os.Getenv("CRITLOCK_SEED"), 10, 64)
 		st.rt = livetrace.New(livetrace.Config{Seed: seed})
 		st.rt.SetMeta("instrumenter", "clainstr")
+		st.rt.SetMeta("clrt.goid", goidPath())
+		st.rt.SetMeta("clrt.adopted", "0")
 		if len(os.Args) > 0 {
 			st.rt.SetMeta("program", os.Args[0])
 		}
@@ -136,6 +123,8 @@ func cur() harness.Proc {
 	})
 	p := rt.Adopt(fmt.Sprintf("adopted-%d", id))
 	procs.Store(id, p)
+	st.adopted++
+	rt.SetMeta("clrt.adopted", strconv.Itoa(st.adopted))
 	return p
 }
 
@@ -306,7 +295,7 @@ func writeTraceFile(path string, tr *trace.Trace) error {
 // several captures in one process. Instrumented programs never call it.
 func resetForTest() {
 	st.mu.Lock()
-	st.rt, st.root, st.rootID, st.rootTaken, st.finished = nil, nil, 0, false, false
+	st.rt, st.root, st.rootID, st.rootTaken, st.finished, st.adopted = nil, nil, 0, false, false, 0
 	st.mu.Unlock()
 	procs.Range(func(k, _ any) bool { procs.Delete(k); return true })
 }

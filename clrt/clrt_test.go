@@ -363,4 +363,7 @@ func TestForeignGoroutineAdopted(t *testing.T) {
 	if ls == nil || ls.TotalInvocations != 2 {
 		t.Fatalf("adopted goroutine's acquisition lost: %+v", ls)
 	}
+	if got := tr.Meta["clrt.adopted"]; got != "1" {
+		t.Errorf("clrt.adopted meta = %q, want 1", got)
+	}
 }

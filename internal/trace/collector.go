@@ -28,10 +28,11 @@ type Collector struct {
 }
 
 // SpillSink receives per-thread event runs when a buffer crosses the
-// spill threshold. Runs arrive in the emitting thread's order, so each
-// run is canonically (T, Seq) sorted; runs of different threads
-// interleave arbitrarily. The events slice is only valid for the
-// duration of the call. Implementations must latch their own I/O
+// spill threshold; a buffer spills as one or more consecutive runs.
+// Runs arrive in the emitting thread's order, so each thread's runs
+// concatenate to a canonically (T, Seq) sorted sequence; runs of
+// different threads interleave arbitrarily. The events slice is only
+// valid for the duration of the call. Implementations must latch their own I/O
 // errors (Emit cannot surface them) and report the first one when
 // their results are collected — segment.Spiller does exactly that.
 type SpillSink interface {
@@ -71,11 +72,8 @@ func (c *Collector) DrainSpill() error {
 	var first error
 	for _, b := range bufs {
 		b.mu.Lock()
-		if len(b.events) > 0 {
-			if err := cfg.sink.SpillRun(b.thread, b.events); err != nil && first == nil {
-				first = err
-			}
-			b.events = b.events[:0]
+		if err := b.spillLocked(cfg.sink); err != nil && first == nil {
+			first = err
 		}
 		b.mu.Unlock()
 	}
@@ -198,15 +196,31 @@ func (c *Collector) Finish() *Trace {
 	return tr
 }
 
+// A ThreadBuffer stores its events in chunks: the first holds
+// minChunk events, each next one doubles, up to maxChunk. Starting
+// small keeps the many short-lived threads of a live recording cheap.
+const (
+	minChunk = 16
+	maxChunk = 4096
+)
+
 // ThreadBuffer is the per-thread event sink. It must only be used from
-// the owning thread (the backends guarantee this), so appends are
-// lock-free; the sequence number comes from one shared atomic.
+// the owning thread (the backends guarantee this); the sequence number
+// comes from one shared atomic.
+//
+// Events are never moved once stored: a full chunk is followed by a new
+// one instead of being regrown. A live backend emits from inside the
+// critical sections it records, so a regrow-and-copy there would be
+// measured as hold time — one such copy of a 23k-event slice once
+// stretched a hold whose median is 150 ns to 2.35 ms.
 type ThreadBuffer struct {
 	collector *Collector
 	thread    ThreadID
 
-	mu     sync.Mutex // guards events against concurrent Finish snapshots
-	events []Event
+	mu     sync.Mutex // guards the fields below against concurrent Finish snapshots
+	chunks [][]Event  // chunks[:used] hold the events, all but the last of them full
+	used   int        // chunks[used:] are empty spares kept after a spill
+	n      int        // events stored
 }
 
 // Thread returns the owning thread's ID.
@@ -214,17 +228,16 @@ func (b *ThreadBuffer) Thread() ThreadID { return b.thread }
 
 // Emit appends an event, stamping thread and sequence number, and
 // forwards it to the streaming sink if one is attached. With a spill
-// sink attached, a buffer reaching the threshold is flushed as one run
-// and cleared while still under the buffer lock, so Finish snapshots
-// never see half-spilled state.
+// sink attached, a buffer reaching the threshold is flushed and
+// cleared while still under the buffer lock, so Finish snapshots never
+// see half-spilled state.
 func (b *ThreadBuffer) Emit(t Time, kind EventKind, obj ObjID, arg int64) {
 	seq := b.collector.seq.Add(1)
 	e := Event{T: t, Seq: seq, Thread: b.thread, Kind: kind, Obj: obj, Arg: arg}
 	b.mu.Lock()
-	b.events = append(b.events, e)
-	if cfg := b.collector.spill.Load(); cfg != nil && len(b.events) >= cfg.threshold {
-		cfg.sink.SpillRun(b.thread, b.events) // errors latch in the sink
-		b.events = b.events[:0]
+	b.push(e)
+	if cfg := b.collector.spill.Load(); cfg != nil && b.n >= cfg.threshold {
+		b.spillLocked(cfg.sink) // errors latch in the sink
 	}
 	b.mu.Unlock()
 	if sink := b.collector.sink.Load(); sink != nil {
@@ -232,15 +245,54 @@ func (b *ThreadBuffer) Emit(t Time, kind EventKind, obj ObjID, arg int64) {
 	}
 }
 
+// push stores e, starting (or reusing) the next chunk when the last
+// one is full.
+func (b *ThreadBuffer) push(e Event) {
+	if b.used == 0 || len(b.chunks[b.used-1]) == cap(b.chunks[b.used-1]) {
+		if b.used == len(b.chunks) {
+			size := minChunk
+			if b.used > 0 {
+				size = 2 * cap(b.chunks[b.used-1])
+			}
+			if size > maxChunk {
+				size = maxChunk
+			}
+			b.chunks = append(b.chunks, make([]Event, 0, size))
+		}
+		b.used++
+	}
+	tail := &b.chunks[b.used-1]
+	*tail = append(*tail, e)
+	b.n++
+}
+
+// spillLocked hands the stored events to sink, one run per chunk in
+// order, and empties the buffer, keeping its chunks for reuse. It
+// returns the first error the sink reported.
+func (b *ThreadBuffer) spillLocked(sink SpillSink) error {
+	var first error
+	for i := 0; i < b.used; i++ {
+		if err := sink.SpillRun(b.thread, b.chunks[i]); err != nil && first == nil {
+			first = err
+		}
+		b.chunks[i] = b.chunks[i][:0]
+	}
+	b.used, b.n = 0, 0
+	return first
+}
+
 func (b *ThreadBuffer) len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.events)
+	return b.n
 }
 
 // appendEvents appends a snapshot of the buffer to dst.
 func (b *ThreadBuffer) appendEvents(dst []Event) []Event {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append(dst, b.events...)
+	for _, c := range b.chunks[:b.used] {
+		dst = append(dst, c...)
+	}
+	return dst
 }
