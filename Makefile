@@ -1,8 +1,8 @@
 # Developer entry points. `make ci` is what a gate should run: static
 # lock-hazard lint (go vet + a clalint self-run over the repo itself),
 # gofmt cleanliness, build, race-enabled tests, a fuzz smoke pass over
-# every fuzz target, the streaming-vs-in-memory differential, the
-# serving-path golden smoke, and one pass of the headline benchmark
+# every fuzz target, the differential against the naive reference
+# analysis, the serving-path golden smoke, and one pass of the headline benchmark
 # (benchtime=1x — for real numbers use `make bench`).
 
 GO ?= go
@@ -38,7 +38,10 @@ lint:
 
 # Short mutation run of every fuzz target: the segment frame/footer
 # decoders and manifest reader (hostile bytes must error, never panic),
-# the trace codec, and trace.Validate. Go allows one fuzz target per
+# the trace codec, trace.Validate, and the analysis itself (unvalidated
+# event soups through the in-memory and segmented sources, which must
+# agree with each other and, on well-formed traces, with the naive
+# reference). Go allows one fuzz target per
 # `go test -fuzz` invocation, so they run back to back.
 fuzz-smoke:
 	$(GO) test ./internal/segment -run '^$$' -fuzz FuzzSegmentFile -fuzztime $(FUZZTIME)
@@ -46,14 +49,17 @@ fuzz-smoke:
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzReadBinary -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzValidate -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzAnalyze -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lint -run '^$$' -fuzz FuzzLint -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/hazard -run '^$$' -fuzz FuzzHazard -fuzztime $(FUZZTIME)
 
-# Differential oracle: AnalyzeStream over segmented + spilled traces
-# must be bit-identical to the in-memory analyzer, under the race
+# Differential oracle: Analyze over in-memory traces and AnalyzeStream
+# over segmented + spilled traces, at every window and parallelism,
+# must match the naive reference analysis (internal/core/naive) on the
+# registered workloads and random synth programs, under the race
 # detector.
 stream-diff:
-	$(GO) test -race ./internal/core -run 'TestAnalyzeStream' -count=1 -v
+	$(GO) test -race ./internal/core -run 'TestAnalyzeStream|TestReference' -count=1 -v
 
 # Serving-path smoke: spin up the analysis server in-process, POST the
 # checked-in synth workload and byte-diff the JSON report against its
@@ -128,7 +134,7 @@ guide:
 
 # Stable numbers for the benchmarks quoted in README/BENCH_PR*.json.
 bench:
-	$(GO) test -run=xxx -bench='BenchmarkAnalyzeLargeTrace|BenchmarkAnalyzeReuse|BenchmarkMergeVsSort|BenchmarkRunAllParallel' -benchtime=30x -benchmem .
+	$(GO) test -run=xxx -bench='BenchmarkAnalyzeLargeTrace|BenchmarkMergeVsSort|BenchmarkRunAllParallel' -benchtime=30x -benchmem .
 	$(GO) test -run=xxx -bench=BenchmarkAnalyzeStream2M -benchtime=2x -benchmem .
 
 ci: lint fmt-check clrt-arch build race stream-diff serve-smoke hazard-smoke fuzz-smoke bench-smoke instr-smoke docs-check

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"critlock"
+	"critlock/internal/core/naive"
 	"critlock/internal/segment"
 )
 
@@ -20,9 +21,10 @@ func workloadTrace(t *testing.T, name string, threads int) *critlock.Trace {
 }
 
 // TestAnalyzeSourcesAgree is the source-level differential oracle: the
-// unified Analyze must produce identical results whether the events
-// arrive in memory (TraceSource) or stream from a segment directory
-// (SegmentDirSource) — same critical path, same lock and thread
+// unified Analyze must match the naive reference analysis whether the
+// events arrive in memory (TraceSource) or stream from a segment
+// directory (SegmentDirSource) at every walk window and pass
+// parallelism — same critical path, lock, channel and thread
 // statistics, same totals.
 func TestAnalyzeSourcesAgree(t *testing.T) {
 	for _, tc := range []struct {
@@ -35,45 +37,49 @@ func TestAnalyzeSourcesAgree(t *testing.T) {
 	} {
 		t.Run(tc.workload, func(t *testing.T) {
 			tr := workloadTrace(t, tc.workload, tc.threads)
+			ref, err := naive.Analyze(tr, true)
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
 
 			mem, err := critlock.Analyze(critlock.TraceSource(tr))
 			if err != nil {
 				t.Fatalf("TraceSource: %v", err)
+			}
+			if d := naive.Diff(mem, ref); d != "" {
+				t.Errorf("TraceSource: %s", d)
 			}
 
 			dir := t.TempDir()
 			if err := segment.WriteTrace(dir, tr, segment.Options{SegmentEvents: 64}); err != nil {
 				t.Fatalf("writing segments: %v", err)
 			}
-			var snapshots int
-			streamed, err := critlock.Analyze(critlock.SegmentDirSource(dir),
-				critlock.WithWindow(3),
-				critlock.WithProgress(func(critlock.Progress) { snapshots++ }))
-			if err != nil {
-				t.Fatalf("SegmentDirSource: %v", err)
-			}
-
-			if !reflect.DeepEqual(mem.CP, streamed.CP) {
-				t.Errorf("critical paths differ between sources")
-			}
-			if !reflect.DeepEqual(mem.Locks, streamed.Locks) {
-				t.Errorf("lock statistics differ between sources")
-			}
-			if !reflect.DeepEqual(mem.Threads, streamed.Threads) {
-				t.Errorf("thread statistics differ between sources")
-			}
-			if !reflect.DeepEqual(mem.Totals, streamed.Totals) {
-				t.Errorf("totals differ between sources")
-			}
-			if snapshots == 0 {
-				t.Errorf("WithProgress observer never fired")
+			for _, window := range []int{1, 3} {
+				for _, par := range []int{1, 4} {
+					var snapshots int
+					streamed, err := critlock.Analyze(critlock.SegmentDirSource(dir),
+						critlock.WithWindow(window),
+						critlock.WithParallelSegments(par),
+						critlock.WithProgress(func(critlock.Progress) { snapshots++ }))
+					if err != nil {
+						t.Fatalf("SegmentDirSource: %v", err)
+					}
+					if d := naive.Diff(streamed, ref); d != "" {
+						t.Errorf("SegmentDirSource window=%d par=%d: %s", window, par, d)
+					}
+					if snapshots == 0 {
+						t.Errorf("WithProgress observer never fired")
+					}
+				}
 			}
 		})
 	}
 }
 
 // TestObserverDoesNotChangeResults pins the instrumentation invariant:
-// attaching observers and capping workers must not alter any result.
+// attaching observers must not alter any result, and an in-memory
+// trace reports validation and then the three passes every source
+// runs.
 func TestObserverDoesNotChangeResults(t *testing.T) {
 	tr := workloadTrace(t, "micro", 4)
 
@@ -83,8 +89,11 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 	}
 	var phases []string
 	observed, err := critlock.Analyze(critlock.TraceSource(tr),
-		critlock.WithWorkers(2),
-		critlock.WithProgress(func(p critlock.Progress) { phases = append(phases, p.Phase) }))
+		critlock.WithProgress(func(p critlock.Progress) {
+			if len(phases) == 0 || phases[len(phases)-1] != p.Phase {
+				phases = append(phases, p.Phase)
+			}
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +101,7 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 	if !reflect.DeepEqual(plain.Locks, observed.Locks) || !reflect.DeepEqual(plain.CP, observed.CP) {
 		t.Errorf("observation changed analysis results")
 	}
-	want := []string{"validate", "index", "walk", "metrics"}
+	want := []string{"validate", "pass1", "walk", "pass3"}
 	if !reflect.DeepEqual(phases, want) {
 		t.Errorf("in-memory phases = %v, want %v", phases, want)
 	}

@@ -185,27 +185,6 @@ func BenchmarkRunAllParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeReuse measures Analyze through a reused Analyzer —
-// index and scratch storage amortized across runs — against the
-// pooled package-level entry point benchmarked by
-// BenchmarkAnalyzeLargeTrace.
-func BenchmarkAnalyzeReuse(b *testing.B) {
-	tr := largeTrace(200_000)
-	a := core.NewAnalyzer()
-	b.ReportAllocs()
-	b.SetBytes(int64(len(tr.Events)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		an, err := a.Analyze(tr, core.Options{ClipHold: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if an.CP.Length == 0 {
-			b.Fatal("empty critical path")
-		}
-	}
-}
-
 func BenchmarkAnalyzeLargeTrace(b *testing.B) {
 	tr := largeTrace(200_000)
 	b.ReportAllocs()
@@ -224,11 +203,12 @@ func BenchmarkAnalyzeLargeTrace(b *testing.B) {
 
 // BenchmarkAnalyzeStream2M drives the full streaming pipeline over a
 // 2M-event segmented trace: segment decode, forward annotation pass,
-// windowed backward walk, forward metric pass. The in-memory analyzer
-// runs the same trace for comparison. The streaming side's working set
-// is bounded by the walk window plus the critical-path output — its
-// allocs/op stay flat as the trace grows, where the in-memory side's
-// scale with it (the index alone is several arrays of n).
+// windowed backward walk, forward metric pass. The "inmemory" lane runs
+// the same passes over the resident trace (TraceSource: one in-memory
+// segment) for comparison. The streaming side's working set is bounded
+// by the walk window plus the critical-path output; the in-memory
+// side also holds the event array, its column copy and the
+// composition intervals TraceSource always retains.
 func BenchmarkAnalyzeStream2M(b *testing.B) {
 	tr := largeTrace(2_000_000)
 	dir := b.TempDir()

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"critlock"
+	"critlock/internal/segment"
+	"critlock/internal/trace"
 )
 
 // writeTestTrace simulates a tiny run and stores it in both formats.
@@ -83,5 +86,24 @@ func TestErrors(t *testing.T) {
 	}
 	if err := run([]string{"/does/not/exist.cltr"}); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestSegdirOutOfRangeObject: a segment directory whose events name an
+// object beyond the skeleton is reported as an error, not a panic.
+func TestSegdirOutOfRangeObject(t *testing.T) {
+	b := trace.NewBuilder()
+	main := b.Thread("main", trace.NoThread)
+	b.Chan("c", 0)
+	b.Start(0, main)
+	b.Event(1, main, trace.EvChanSend, 3, 0)
+	b.Exit(2, main)
+	dir := filepath.Join(t.TempDir(), "segs")
+	if err := segment.WriteTrace(dir, b.Trace(), segment.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-segdir", dir})
+	if !errors.Is(err, trace.ErrMalformed) {
+		t.Fatalf("cla -segdir = %v, want a malformed-trace error", err)
 	}
 }

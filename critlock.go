@@ -13,9 +13,10 @@
 //   - analysis: Analyze(src, opts...) walks the critical path
 //     backwards and returns per-lock TYPE 1 (CP Time %, invocations
 //     and contention probability on the critical path) and TYPE 2
-//     (wait time, hold time, average contention) statistics; the
-//     source picks the pipeline — TraceSource runs in memory,
-//     SegmentsSource and SegmentDirSource stream in bounded memory;
+//     (wait time, hold time, average contention) statistics; every
+//     source runs the same three passes — TraceSource over one
+//     in-memory segment, SegmentsSource and SegmentDirSource streamed
+//     in bounded memory;
 //   - serving: NewServer wraps the analysis in an HTTP ingest/report
 //     service with self-instrumentation (see cmd/clasrv);
 //   - workloads: RunWorkload executes the modelled applications from

@@ -18,6 +18,14 @@
 //     CP, contention probability on CP) alongside the classical TYPE 2
 //     metrics (wait time %, average invocations, average contention
 //     probability, average hold time %) that prior tools report.
+//
+// There is one implementation of these steps: three passes over a
+// segmented trace (analyzeStream). Pass 1 resolves wakers going
+// forward (step 1), the walk goes backward (step 2), and pass 3
+// accumulates the metrics going forward (steps 3 and 4). A segment
+// directory streams through them in bounded memory (StreamSource); an
+// in-memory trace is converted to columns once and served as a single
+// segment (TraceSource).
 package core
 
 import (
@@ -40,9 +48,6 @@ type Options struct {
 	// malformed traces. Analyses of traces from unknown provenance
 	// should keep this on.
 	Validate bool
-	// Workers caps the parallel metric pass's worker count; 0 means
-	// GOMAXPROCS. Results are identical at any worker count.
-	Workers int
 	// Observer, when non-nil, receives self-instrumentation callbacks:
 	// per-phase timings and cumulative Progress snapshots. Observation
 	// never changes analysis results.
@@ -321,14 +326,10 @@ type Totals struct {
 	TotalChanWait    trace.Time
 }
 
-// Analyze runs critical lock analysis with the given options. Internal
-// index storage is recycled through a pool of Analyzers, so repeated
-// calls (sweeps, what-if loops) are allocation-lean; hold an Analyzer
-// directly for explicit reuse control.
+// Analyze runs critical lock analysis on an in-memory trace with the
+// given options: AnalyzeSource(TraceSource(tr), Config{Options: opts}).
 func Analyze(tr *trace.Trace, opts Options) (*Analysis, error) {
-	a := analyzerPool.Get().(*Analyzer)
-	defer analyzerPool.Put(a)
-	return a.Analyze(tr, opts)
+	return TraceSource(tr).Run(Config{Options: opts})
 }
 
 // AnalyzeDefault runs Analyze with DefaultOptions.

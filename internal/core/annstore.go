@@ -9,9 +9,9 @@ import (
 	"critlock/internal/trace"
 )
 
-// Annotations: the streaming stand-in for the in-memory index's
-// posInThread/waker/blocked arrays, stored as two per-event planes with
-// different lifetimes:
+// Annotations: pass 1's per-event record of the event graph — the
+// same-thread predecessor, the waker and the blocked bit — stored as
+// two per-event planes with different lifetimes:
 //
 //   - links — prev (int32 LE, previous event on the same thread or -1)
 //     and waker (int32 LE or -1), 8 bytes per event. Only the backward

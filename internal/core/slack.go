@@ -40,14 +40,51 @@ type LockSlack struct {
 	OnCP bool
 }
 
-// Slack computes slack for every lock in the analyzed trace.
+// Slack computes slack for every lock in the analyzed trace. It needs
+// the raw events (HasEvents): it re-runs pass 1 over them and reads
+// the event graph off the annotations — the same-thread predecessor
+// and waker links, and the blocked flags.
 func (a *Analysis) Slack() *SlackAnalysis {
 	tr := a.Trace
-	n := len(tr.Events)
-	idx, err := buildIndex(tr)
-	if err != nil || n == 0 {
+	if tr == nil || len(tr.Events) == 0 {
 		return &SlackAnalysis{}
 	}
+	n := len(tr.Events)
+	src := newTraceColumns(tr)
+	ann, err := newAnnStore(src, n, "", 0)
+	if err != nil {
+		return &SlackAnalysis{}
+	}
+	defer ann.remove()
+	p1, err := streamPass1(src, tr, ann, nil)
+	if err != nil {
+		return &SlackAnalysis{}
+	}
+	links, err := ann.readLinks(0, n, nil)
+	if err != nil {
+		return &SlackAnalysis{}
+	}
+	flags, err := ann.readFlags(0, n, nil)
+	if err != nil {
+		return &SlackAnalysis{}
+	}
+	waker := make([]int32, n)
+	// succ[i] is the next event on i's thread (the inverted prev link),
+	// or -1.
+	succ := make([]int32, n)
+	for i := range succ {
+		succ[i] = -1
+	}
+	for i := 0; i < n; i++ {
+		prev, w := getAnnLink(links[i*annLinkSize:])
+		waker[i] = w
+		if prev >= 0 {
+			succ[prev] = int32(i)
+		}
+	}
+	// attributed reports an unblock event whose waker is known: the
+	// interval before it was wait.
+	attributed := func(i int32) bool { return flags[i]&annBlocked != 0 && waker[i] >= 0 }
 
 	const inf = math.MaxInt64
 	late := make([]int64, n)
@@ -58,8 +95,8 @@ func (a *Analysis) Slack() *SlackAnalysis {
 	// Sinks: each thread's exit event may be as late as the program's
 	// completion time.
 	endT := int64(tr.End())
-	for tid := range idx.exitIdx {
-		if ei := idx.exitIdx[tid]; ei >= 0 {
+	for _, ei := range p1.exitIdx {
+		if ei >= 0 {
 			late[ei] = endT
 		}
 	}
@@ -67,7 +104,7 @@ func (a *Analysis) Slack() *SlackAnalysis {
 	// wakes[i] lists events woken by event i (inverted waker map).
 	wakes := make([][]int32, n)
 	for i := 0; i < n; i++ {
-		if w := idx.waker[i]; w >= 0 {
+		if w := waker[i]; w >= 0 {
 			wakes[w] = append(wakes[w], int32(i))
 		}
 	}
@@ -79,20 +116,17 @@ func (a *Analysis) Slack() *SlackAnalysis {
 		// Intra-thread successor: the executed interval between the
 		// two events has fixed duration, so e can slip exactly as much
 		// as its successor can.
-		pos := idx.posInThread[i]
-		seq := idx.thrEvents[e.Thread]
-		if int(pos)+1 < len(seq) {
-			succ := seq[pos+1]
-			d := int64(tr.Events[succ].T - e.T)
-			if idx.blocked[succ] && idx.waker[succ] >= 0 {
+		if s := succ[i]; s >= 0 {
+			d := int64(tr.Events[s].T - e.T)
+			if attributed(s) {
 				// The interval before an attributed unblock event is
 				// wait: it absorbs slippage, so the edge only orders
 				// (weight 0) — the successor's timing is bound by its
 				// waker, not by us.
 				d = 0
 			}
-			if late[succ] != inf {
-				late[i] = min64(late[i], late[succ]-d)
+			if late[s] != inf {
+				late[i] = min64(late[i], late[s]-d)
 			}
 		}
 		// Cross-thread wake edges: the woken event cannot happen

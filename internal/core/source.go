@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"critlock/internal/obs"
@@ -22,28 +23,27 @@ func (a *Analysis) HasEvents() bool {
 	return a.Trace != nil && len(a.Trace.Events) > 0
 }
 
-// Config is the unified analysis configuration: the Options both
-// pipelines share plus the streaming-only knobs. The zero value means
-// unclipped holds and no validation; start from DefaultConfig for the
-// recommended defaults.
+// Config is the unified analysis configuration: the Options plus the
+// knobs of the three passes. The zero value means unclipped holds and
+// no validation; start from DefaultConfig for the recommended
+// defaults.
 type Config struct {
 	Options
-	// CacheSegments is the streaming backward walk's window: how many
-	// decoded segments stay resident at once (0 = default, minimum 1).
-	// Ignored by the in-memory pipeline.
+	// CacheSegments is the backward walk's window: how many decoded
+	// segments stay resident at once (0 = default, minimum 1). An
+	// in-memory trace is one segment, so any value is equivalent there.
 	CacheSegments int
-	// TmpDir hosts the streaming waker-annotation spill file
-	// ("" = os.TempDir). Ignored by the in-memory pipeline.
+	// TmpDir hosts the waker-annotation spill file ("" = os.TempDir).
 	TmpDir string
-	// Composition retains per-thread hold intervals during streaming
-	// analysis so Analysis.Composition works; it costs O(invocations)
-	// memory, so it is off by default there. The in-memory pipeline
-	// always retains them.
+	// Composition retains per-thread hold intervals so
+	// Analysis.Composition works; it costs O(invocations) memory, so it
+	// is off by default for segmented traces. TraceSource always turns
+	// it on.
 	Composition bool
-	// ParallelSegments runs streaming passes 1 and 3 over disjoint
-	// segment ranges on up to this many goroutines, merged
-	// deterministically (0 or 1 = sequential). Results are
-	// bit-identical at any setting. Ignored by the in-memory pipeline.
+	// ParallelSegments runs passes 1 and 3 over disjoint segment ranges
+	// on up to this many goroutines, merged deterministically (0 or 1 =
+	// sequential). Results are bit-identical at any setting. An
+	// in-memory trace is one segment, so it always runs sequentially.
 	ParallelSegments int
 	// NoMmap forces buffered reads of segment files instead of
 	// memory-mapping them. Consulted by sources that open segment
@@ -53,7 +53,7 @@ type Config struct {
 	// AnnotationBudget caps the resident waker-annotation shards
 	// (9 bytes per event); a run over budget spills them to a TmpDir
 	// temp file instead. 0 = DefaultAnnotationBudget, negative =
-	// always spill. Ignored by the in-memory pipeline.
+	// always spill.
 	AnnotationBudget int64
 }
 
@@ -63,25 +63,78 @@ func DefaultConfig() Config { return Config{Options: DefaultOptions()} }
 
 // Source is where the unified Analyze entry point reads a trace from:
 // an in-memory event array, an open segmented-trace reader, or any
-// other provider that knows which pipeline fits it. The two built-in
-// constructors are TraceSource and StreamSource; callers with custom
-// acquisition (open a directory lazily, download first) implement Run
-// and delegate to one of them.
+// other provider. Every source runs the same three passes; the two
+// built-in constructors are TraceSource and StreamSource, and callers
+// with custom acquisition (open a directory lazily, download first)
+// implement Run and delegate to one of them.
 type Source interface {
-	// Run executes the analysis pipeline appropriate for this source
-	// on a, which retains reusable scratch storage across calls.
-	Run(a *Analyzer, cfg Config) (*Analysis, error)
+	// Run executes the analysis over this source.
+	Run(cfg Config) (*Analysis, error)
 }
 
 // traceSource analyzes an in-memory trace.
 type traceSource struct{ tr *trace.Trace }
 
-// TraceSource adapts an in-memory trace: Analyze runs the indexed
-// pipeline (index → walk → metrics) over the event array.
+// TraceSource adapts an in-memory trace: Analyze validates it (with
+// Options.Validate) and runs the streaming passes over it as a single
+// in-memory segment. Composition is always retained, and
+// Analysis.Trace is the full trace, so event-replay consumers work.
 func TraceSource(tr *trace.Trace) Source { return traceSource{tr} }
 
-func (s traceSource) Run(a *Analyzer, cfg Config) (*Analysis, error) {
-	return a.analyzeTrace(s.tr, cfg)
+func (s traceSource) Run(cfg Config) (*Analysis, error) {
+	tr := s.tr
+	if tr == nil || len(tr.Events) == 0 {
+		return nil, trace.ErrEmptyTrace
+	}
+	h := newObsHook(cfg.Observer, len(tr.Events))
+	if cfg.Validate {
+		start := h.phaseStart("validate")
+		if err := trace.Validate(tr); err != nil {
+			return nil, fmt.Errorf("core: invalid trace: %w", err)
+		}
+		h.phaseDone("validate", start, int64(len(tr.Events)))
+	}
+	cfg.Composition = true
+	return analyzeStream(newTraceColumns(tr), cfg, h)
+}
+
+// traceColumns serves an in-memory trace as a one-segment
+// ColumnSource. The events are converted to columns once; every load
+// hands out the same columns with their capacity clipped to their
+// length, so no pass can write through them. Its skeleton is the full
+// trace, which the analysis keeps as Analysis.Trace.
+type traceColumns struct {
+	tr   *trace.Trace
+	cols trace.Columns
+}
+
+func newTraceColumns(tr *trace.Trace) *traceColumns {
+	c := &traceColumns{tr: tr}
+	c.cols.Reset(len(tr.Events))
+	c.cols.AppendEvents(tr.Events)
+	return c
+}
+
+func (c *traceColumns) Skeleton() *trace.Trace       { return c.tr }
+func (c *traceColumns) NumEvents() int               { return len(c.tr.Events) }
+func (c *traceColumns) NumSegments() int             { return 1 }
+func (c *traceColumns) SegmentBounds(int) (int, int) { return 0, len(c.tr.Events) }
+
+func (c *traceColumns) LoadSegment(_ int, buf []trace.Event) ([]trace.Event, error) {
+	return append(buf[:0], c.tr.Events...), nil
+}
+
+func (c *traceColumns) LoadColumns(_ int, cols *trace.Columns) (int64, error) {
+	n := c.cols.Len()
+	*cols = trace.Columns{
+		T:      c.cols.T[:n:n],
+		Seq:    c.cols.Seq[:n:n],
+		Thread: c.cols.Thread[:n:n],
+		Kind:   c.cols.Kind[:n:n],
+		Obj:    c.cols.Obj[:n:n],
+		Arg:    c.cols.Arg[:n:n],
+	}
+	return 0, nil
 }
 
 // streamSource analyzes a segmented trace in bounded memory.
@@ -92,24 +145,15 @@ type streamSource struct{ src SegmentSource }
 // three-pass bounded-memory pipeline.
 func StreamSource(src SegmentSource) Source { return streamSource{src} }
 
-func (s streamSource) Run(a *Analyzer, cfg Config) (*Analysis, error) {
-	return a.analyzeStream(s.src, cfg)
+func (s streamSource) Run(cfg Config) (*Analysis, error) {
+	return analyzeStream(s.src, cfg, newObsHook(cfg.Observer, s.src.NumEvents()))
 }
 
-// AnalyzeSource is the unified entry point both pipelines share: every
-// consumer — the facade, the CLIs, the serving layer — dispatches
-// through it, so options and instrumentation behave identically
-// everywhere. Internal storage is recycled through the analyzer pool.
+// AnalyzeSource is the unified entry point: every consumer — the
+// facade, the CLIs, the serving layer — dispatches through it, so
+// options and instrumentation behave identically everywhere.
 func AnalyzeSource(src Source, cfg Config) (*Analysis, error) {
-	a := analyzerPool.Get().(*Analyzer)
-	defer analyzerPool.Put(a)
-	return a.AnalyzeSource(src, cfg)
-}
-
-// AnalyzeSource is the Analyzer form of the package-level
-// AnalyzeSource, for pipelines holding an Analyzer for reuse.
-func (a *Analyzer) AnalyzeSource(src Source, cfg Config) (*Analysis, error) {
-	return src.Run(a, cfg)
+	return src.Run(cfg)
 }
 
 // obsHook adapts an obs.Observer for the analysis hot path: nil-safe

@@ -104,8 +104,8 @@ func streamPass1Par(src ColumnSource, skel *trace.Trace, ann *annStore, workers 
 			for k := 0; k < count; k++ {
 				gi := int32(first + k)
 				th := cTh[k]
-				if th < 0 || int(th) >= nThreads {
-					r.err = fmt.Errorf("core: event %d references thread %d out of range", gi, th)
+				if err := checkEvent(gi, th, trace.EventKind(cKind[k]), cObj[k], nThreads, nObjs); err != nil {
+					r.err = err
 					return
 				}
 				t := cT[k]
@@ -124,18 +124,14 @@ func streamPass1Par(src ColumnSource, skel *trace.Trace, ann *annStore, workers 
 				case trace.EvLockObtain:
 					if cArg[k]&trace.LockArgContended != 0 {
 						rec.flags |= annBlocked
-						if obj := cObj[k]; obj >= 0 && int(obj) < nObjs {
-							if lr := r.lastRelease[obj]; lr >= 0 {
-								rec.waker = lr
-							} else {
-								r.boundary = append(r.boundary, boundaryObtain{idx: gi, obj: trace.ObjID(obj)})
-							}
+						if lr := r.lastRelease[cObj[k]]; lr >= 0 {
+							rec.waker = lr
+						} else {
+							r.boundary = append(r.boundary, boundaryObtain{idx: gi, obj: trace.ObjID(cObj[k])})
 						}
 					}
 				case trace.EvLockRelease:
-					if obj := cObj[k]; obj >= 0 && int(obj) < nObjs {
-						r.lastRelease[obj] = gi
-					}
+					r.lastRelease[cObj[k]] = gi
 				default:
 					if isSyncKind(kind) {
 						r.sync = append(r.sync, syncEv{
@@ -613,7 +609,7 @@ func streamPass3Par(src ColumnSource, skel *trace.Trace, ann *annStore, p1 *pass
 			case trace.EvLockObtain:
 				pos, ok := st.open.get(le.obj)
 				if !ok {
-					return fmt.Errorf("core: event %d: obtain of %q without acquire", le.idx, skel.ObjName(le.obj))
+					return fmt.Errorf("core: %w: event %d: obtain of %q without acquire", trace.ErrMalformed, le.idx, skel.ObjName(le.obj))
 				}
 				inv := st.at(pos)
 				inv.obtainIdx = le.idx
@@ -623,7 +619,7 @@ func streamPass3Par(src ColumnSource, skel *trace.Trace, ann *annStore, p1 *pass
 			case trace.EvLockRelease:
 				pos, ok := st.open.get(le.obj)
 				if !ok {
-					return fmt.Errorf("core: event %d: release of %q without hold", le.idx, skel.ObjName(le.obj))
+					return fmt.Errorf("core: %w: event %d: release of %q without hold", trace.ErrMalformed, le.idx, skel.ObjName(le.obj))
 				}
 				inv := st.at(pos)
 				inv.releaseIdx = le.idx

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -48,69 +49,23 @@ func segmented(t *testing.T, tr *trace.Trace, segEvents, frameEvents int, noMmap
 	return r
 }
 
-// requireIdentical asserts that the streaming analysis matches the
-// in-memory one on every exported result.
-func requireIdentical(t *testing.T, mem, str *core.Analysis, composition bool) {
+// requireComposition asserts that a streamed analysis reproduces the
+// in-memory one's composition breakdown, which the naive reference
+// does not compute.
+func requireComposition(t *testing.T, mem, str *core.Analysis, label string) {
 	t.Helper()
-	if !reflect.DeepEqual(mem.CP, str.CP) {
-		t.Errorf("critical path differs:\n mem: len=%d exec=%d wait=%d steps=%d jumps=%d pieces=%d\n str: len=%d exec=%d wait=%d steps=%d jumps=%d pieces=%d",
-			mem.CP.Length, mem.CP.ExecTime, mem.CP.WaitTime, mem.CP.Steps, mem.CP.Jumps, len(mem.CP.Pieces),
-			str.CP.Length, str.CP.ExecTime, str.CP.WaitTime, str.CP.Steps, str.CP.Jumps, len(str.CP.Pieces))
-	}
-	if !reflect.DeepEqual(mem.Locks, str.Locks) {
-		for i := range mem.Locks {
-			if i >= len(str.Locks) || !reflect.DeepEqual(mem.Locks[i], str.Locks[i]) {
-				t.Errorf("lock %d differs:\n mem: %+v", i, mem.Locks[i])
-				if i < len(str.Locks) {
-					t.Errorf(" str: %+v", str.Locks[i])
-				}
-				break
-			}
-		}
-		if len(mem.Locks) != len(str.Locks) {
-			t.Errorf("lock count differs: mem=%d str=%d", len(mem.Locks), len(str.Locks))
-		}
-	}
-	if !reflect.DeepEqual(mem.Threads, str.Threads) {
-		for i := range mem.Threads {
-			if i >= len(str.Threads) || !reflect.DeepEqual(mem.Threads[i], str.Threads[i]) {
-				t.Errorf("thread %d differs:\n mem: %+v", i, mem.Threads[i])
-				if i < len(str.Threads) {
-					t.Errorf(" str: %+v", str.Threads[i])
-				}
-				break
-			}
-		}
-	}
-	if !reflect.DeepEqual(mem.Chans, str.Chans) {
-		for i := range mem.Chans {
-			if i >= len(str.Chans) || !reflect.DeepEqual(mem.Chans[i], str.Chans[i]) {
-				t.Errorf("chan %d differs:\n mem: %+v", i, mem.Chans[i])
-				if i < len(str.Chans) {
-					t.Errorf(" str: %+v", str.Chans[i])
-				}
-				break
-			}
-		}
-		if len(mem.Chans) != len(str.Chans) {
-			t.Errorf("chan count differs: mem=%d str=%d", len(mem.Chans), len(str.Chans))
-		}
-	}
-	if !reflect.DeepEqual(mem.Totals, str.Totals) {
-		t.Errorf("totals differ:\n mem: %+v\n str: %+v", mem.Totals, str.Totals)
-	}
-	if composition {
-		if !reflect.DeepEqual(mem.Composition(), str.Composition()) {
-			t.Errorf("composition differs")
-		}
+	if !reflect.DeepEqual(mem.Composition(), str.Composition()) {
+		t.Fatalf("%s: composition differs from the in-memory analysis", label)
 	}
 }
 
 // TestAnalyzeStreamMatchesInMemory is the differential oracle for the
-// tentpole invariant: AnalyzeStream over segments is bit-identical to
-// Analyze over the same events, across workloads, seeds, segment
-// sizes (including the pathological 1-event segments), walk-window
-// sizes, pass parallelism, mmap on/off and annotation spill mode.
+// one pipeline: Analyze over the in-memory trace and AnalyzeStream over
+// its segments both match the naive reference analysis, across
+// workloads, seeds, segment sizes (including the pathological 1-event
+// segments), walk-window sizes, pass parallelism, mmap on/off and
+// annotation spill mode — and every segmented run reproduces the
+// in-memory composition.
 func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 	type cfg struct {
 		workload string
@@ -125,8 +80,8 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 		{"tsp", 6, 2},
 		{"waternsq", 8, 1},
 		{"uts", 6, 1},
-		// Channel workloads: send/recv/select wakers must stream
-		// identically to the in-memory index.
+		// Channel workloads: send/recv/select wakers must match the
+		// reference's FIFO pairing at every segmentation.
 		{"pipeline", 4, 1},
 		{"pipeline", 6, 2},
 		{"fanin", 4, 1},
@@ -137,10 +92,12 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 		t.Run(c.workload+"/"+string(rune('0'+c.threads))+"t", func(t *testing.T) {
 			t.Parallel()
 			tr := simTrace(t, c.workload, c.threads, c.seed)
+			ref := reference(t, tr)
 			mem, err := core.Analyze(tr, core.DefaultOptions())
 			if err != nil {
 				t.Fatalf("Analyze: %v", err)
 			}
+			requireReference(t, mem, ref, "Analyze")
 			n := len(tr.Events)
 
 			segSizes := []int{n/7 + 1, 64}
@@ -154,10 +111,8 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 				if err != nil {
 					t.Fatalf("AnalyzeStream(%s): %v", label, err)
 				}
-				requireIdentical(t, mem, str, true)
-				if t.Failed() {
-					t.Fatalf("divergence at %s", label)
-				}
+				requireReference(t, str, ref, label)
+				requireComposition(t, mem, str, label)
 			}
 			for _, segEvents := range segSizes {
 				for _, noMmap := range []bool{false, true} {
@@ -199,7 +154,8 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 // TestAnalyzeStreamSpilledCollector exercises the full spill path: the
 // collector spills per-thread runs to disk mid-run, the spiller merges
 // them into segments, and the streaming analysis of the result matches
-// the in-memory analysis of an identical unspilled run.
+// the reference analysis (and the in-memory composition) of an
+// identical unspilled run.
 func TestAnalyzeStreamSpilledCollector(t *testing.T) {
 	spec, err := workloads.Get("radiosity")
 	if err != nil {
@@ -207,7 +163,7 @@ func TestAnalyzeStreamSpilledCollector(t *testing.T) {
 	}
 	params := workloads.Params{Threads: 8, Seed: 7, Scale: 0.25}
 
-	// Reference: plain run, in-memory analysis.
+	// Reference: plain run, analyzed in memory and by the reference.
 	rt := sim.New(sim.Config{Contexts: 8, Seed: 7})
 	tr, _, err := workloads.Run(rt, spec, params)
 	if err != nil {
@@ -240,7 +196,9 @@ func TestAnalyzeStreamSpilledCollector(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AnalyzeStream: %v", err)
 	}
-	requireIdentical(t, mem, str, true)
+	ref := reference(t, tr)
+	requireReference(t, str, ref, "spilled")
+	requireComposition(t, mem, str, "spilled")
 
 	// The spiller's reader supports concurrent loads too: the parallel
 	// passes must agree byte-for-byte.
@@ -248,7 +206,8 @@ func TestAnalyzeStreamSpilledCollector(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AnalyzeStream(par=4): %v", err)
 	}
-	requireIdentical(t, mem, par, true)
+	requireReference(t, par, ref, "spilled par=4")
+	requireComposition(t, mem, par, "spilled par=4")
 }
 
 // TestAnalyzeStreamEmpty checks the empty-source contract.
@@ -262,6 +221,61 @@ func TestAnalyzeStreamEmpty(t *testing.T) {
 	}
 }
 
+// TestAnalyzeRejectsEmpty: a nil or event-less trace is ErrEmptyTrace
+// through Analyze and through TraceSource.
+func TestAnalyzeRejectsEmpty(t *testing.T) {
+	for _, tr := range []*trace.Trace{nil, {}} {
+		if _, err := core.Analyze(tr, core.DefaultOptions()); err != trace.ErrEmptyTrace {
+			t.Errorf("Analyze(%v) = %v, want ErrEmptyTrace", tr, err)
+		}
+		if _, err := core.AnalyzeSource(core.TraceSource(tr), core.DefaultConfig()); err != trace.ErrEmptyTrace {
+			t.Errorf("AnalyzeSource(TraceSource(%v)) = %v, want ErrEmptyTrace", tr, err)
+		}
+	}
+}
+
 type emptySource struct{ *segment.Reader }
 
 func (emptySource) NumEvents() int { return 0 }
+
+// badObjectTrace is {start, chan-send obj=3, exit} on a one-object
+// trace: an unvalidated event naming an object beyond the skeleton.
+func badObjectTrace() *trace.Trace {
+	b := trace.NewBuilder()
+	main := b.Thread("main", trace.NoThread)
+	b.Chan("c", 0)
+	b.Start(0, main)
+	b.Event(1, main, trace.EvChanSend, 3, 0)
+	b.Exit(2, main)
+	return b.Trace()
+}
+
+// TestOutOfRangeObjectIsAnError: pass 1 rejects an object event whose
+// object lies outside the trace's object table (or is NoObj) with a
+// malformed-trace error, on every source and at any parallelism,
+// instead of panicking in the metric pass.
+func TestOutOfRangeObjectIsAnError(t *testing.T) {
+	noObjLock := func() *trace.Trace {
+		b := trace.NewBuilder()
+		main := b.Thread("main", trace.NoThread)
+		b.Mutex("m")
+		b.Start(0, main)
+		b.Event(1, main, trace.EvLockAcquire, trace.NoObj, 0)
+		b.Exit(2, main)
+		return b.Trace()
+	}
+	for name, tr := range map[string]*trace.Trace{"chan obj=3": badObjectTrace(), "lock NoObj": noObjLock()} {
+		if _, err := core.Analyze(tr, core.Options{ClipHold: true}); !errors.Is(err, trace.ErrMalformed) {
+			t.Errorf("%s: Analyze(no validation) = %v, want ErrMalformed", name, err)
+		}
+		if _, err := core.Analyze(tr, core.DefaultOptions()); !errors.Is(err, trace.ErrMalformed) {
+			t.Errorf("%s: Analyze(validated) = %v, want ErrMalformed", name, err)
+		}
+		for _, par := range []int{1, 2} {
+			_, err := core.AnalyzeStream(splitSource(tr, 1), core.Config{Options: core.DefaultOptions(), ParallelSegments: par})
+			if !errors.Is(err, trace.ErrMalformed) {
+				t.Errorf("%s: AnalyzeStream(par=%d) = %v, want ErrMalformed", name, par, err)
+			}
+		}
+	}
+}

@@ -39,7 +39,7 @@ type threadState struct {
 	exited    bool
 }
 
-// condMachine mirrors core/index.go's condState (FIFO waiters, Signal
+// condMachine mirrors core pass 1's condStream (FIFO waiters, Signal
 // pops the front, Broadcast wakes all, spurious wakeups tolerated),
 // but carries hold snapshots instead of waker indices, plus the
 // lost-signal and guard bookkeeping.
@@ -63,7 +63,7 @@ type chanOp struct {
 	snap   []inhHold
 }
 
-// chanMachine mirrors core/index.go's chanPairing FIFO counting: value
+// chanMachine mirrors core pass 1's chanPairing FIFO counting: value
 // recv #r consumes send #r, a blocked send #s was admitted by recv
 // #(s-capacity), a closed recv is ordered after the close. At a
 // rendezvous the simulator may emit the recv completion *before* the

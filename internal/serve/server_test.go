@@ -13,6 +13,7 @@ import (
 	"critlock"
 	"critlock/internal/segment"
 	"critlock/internal/serve"
+	"critlock/internal/trace"
 )
 
 // microTrace builds the deterministic micro-benchmark trace every test
@@ -350,5 +351,40 @@ func TestReportCacheEviction(t *testing.T) {
 	}
 	if status, _ := get(t, ts, "/v1/reports/"+second.ID); status != http.StatusOK {
 		t.Errorf("latest report not served: %d", status)
+	}
+}
+
+// TestMalformedTraceIs4xx: a trace whose events name an object beyond
+// its skeleton is the client's error on every input path — an
+// unvalidated upload, a validated one and a segment directory — and
+// the analysis goroutine must not take the server down with it.
+func TestMalformedTraceIs4xx(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{})
+	b := trace.NewBuilder()
+	main := b.Thread("main", trace.NoThread)
+	b.Chan("c", 0)
+	b.Start(0, main)
+	b.Event(1, main, trace.EvChanSend, 3, 0)
+	b.Exit(2, main)
+	bad := b.Trace()
+
+	for _, query := range []string{"?validate=false", ""} {
+		if status, raw := post(t, ts, query, traceBytes(t, bad)); status != http.StatusUnprocessableEntity {
+			t.Errorf("upload%s = %d, want 422: %s", query, status, raw)
+		}
+	}
+	dir := t.TempDir()
+	if err := segment.WriteTrace(dir, bad, segment.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if status, raw := post(t, ts, "?segdir="+dir, nil); status != http.StatusUnprocessableEntity {
+		t.Errorf("segdir = %d, want 422: %s", status, raw)
+	}
+
+	if status, _ := get(t, ts, "/healthz"); status != http.StatusOK {
+		t.Fatalf("healthz after malformed traces = %d, want 200", status)
+	}
+	if status, raw := post(t, ts, "", traceBytes(t, microTrace(t))); status != http.StatusOK {
+		t.Errorf("valid upload after malformed traces = %d: %s", status, raw)
 	}
 }

@@ -8,6 +8,7 @@ import "errors"
 //
 //	errors.Is(err, trace.ErrTruncated) // input cut short
 //	errors.Is(err, trace.ErrChecksum)  // CRC mismatch: corruption
+//	errors.Is(err, trace.ErrMalformed) // events break the trace's structure
 //
 // The facade re-exports them as critlock.ErrTruncated and
 // critlock.ErrChecksum.
@@ -21,4 +22,11 @@ var (
 	// ErrChecksum marks a CRC mismatch: the bytes were all there but
 	// do not hash to the recorded value — corruption, not truncation.
 	ErrChecksum = errors.New("checksum mismatch")
+
+	// ErrMalformed marks a decodable trace whose events break its own
+	// structure: ids outside the registered thread or object tables,
+	// obtains or releases without a matching acquire. Every
+	// ValidationError matches it, as do the analysis passes' structural
+	// errors on unvalidated input.
+	ErrMalformed = errors.New("malformed trace")
 )

@@ -24,6 +24,9 @@ func (e *ValidationError) Error() string {
 	return msg
 }
 
+// Is makes every ValidationError match ErrMalformed.
+func (e *ValidationError) Is(target error) bool { return target == ErrMalformed }
+
 // Validate checks the structural well-formedness of a trace:
 //
 //   - events sorted by (T, Seq), with thread/object IDs in range;
